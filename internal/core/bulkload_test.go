@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -167,11 +169,12 @@ func TestBulkLoadCorruptSectionCRC(t *testing.T) {
 
 func TestParallelSnapshotV1Compat(t *testing.T) {
 	p, _ := buildParallelForSnapshot(t, 4)
-	var buf bytes.Buffer
-	if err := p.WriteSnapshotV1(&buf); err != nil {
+	// The fixture is this same store, written by the retired v1 writer.
+	v1, err := os.ReadFile(filepath.Join("testdata", "parallel_v1.gts"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadParallelSnapshot(bytes.NewReader(buf.Bytes()), nil)
+	got, err := ReadParallelSnapshot(bytes.NewReader(v1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

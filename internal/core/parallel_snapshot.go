@@ -15,10 +15,11 @@ package core
 //
 // Two formats share the "GTPS" magic:
 //
-// Version 1 (legacy, still readable) is a flat edge stream: per shard a
-// u64 edge count followed by 20-byte (src, dst, weightBits) records, with
-// no per-section integrity or offsets. It can only be decoded
-// sequentially, one InsertEdge at a time.
+// Version 1 (legacy, still readable, no longer written) is a flat edge
+// stream: per shard a u64 edge count followed by 20-byte (src, dst,
+// weightBits) records, with no per-section integrity or offsets. It can
+// only be decoded sequentially, one InsertEdge at a time;
+// testdata/parallel_v1.gts pins the reader.
 //
 // Version 2 is the parallel-recovery format. After the shared header the
 // shards are laid out as independent, self-describing sections, each
@@ -291,68 +292,9 @@ func encodeV2Section(g *GraphTinker, sec v2Section) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteSnapshotV1 serializes the store in the legacy v1 flat-edge-stream
-// format. Kept so compatibility tests (and operators downgrading a
-// binary) can still produce v1 files; ReadParallelSnapshot reads both.
-func (p *Parallel) WriteSnapshotV1(w io.Writer) error {
-	pinned := make([]*GraphTinker, len(p.sc))
-	for i := range p.sc {
-		sc := &p.sc[i]
-		g, idx := sc.pinRead()
-		defer sc.unpin(idx)
-		pinned[i] = g
-	}
-
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	var head [10]byte
-	le.PutUint32(head[0:], parallelSnapshotMagic)
-	le.PutUint16(head[4:], parallelSnapshotVersionV1)
-	le.PutUint32(head[6:], uint32(len(p.sc)))
-	if _, err := bw.Write(head[:]); err != nil {
-		return fmt.Errorf("core: parallel snapshot header: %w", err)
-	}
-
-	cfg := p.cfg
-	cfgFields := []uint64{
-		uint64(cfg.PageWidth), uint64(cfg.SubblockSize), uint64(cfg.WorkblockSize),
-		boolU64(cfg.EnableSGH), boolU64(cfg.EnableCAL),
-		uint64(cfg.CALGroupSize), uint64(cfg.CALBlockSize),
-		uint64(cfg.DeleteMode), cfg.HashSeed,
-	}
-	var buf [8]byte
-	for _, f := range cfgFields {
-		le.PutUint64(buf[:], f)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return fmt.Errorf("core: parallel snapshot config: %w", err)
-		}
-	}
-
-	var rec [20]byte
-	for i, s := range pinned {
-		le.PutUint64(buf[:], s.NumEdges())
-		_, err := bw.Write(buf[:])
-		if err == nil {
-			s.ForEachEdge(func(src, dst uint64, weight float32) bool {
-				le.PutUint64(rec[0:], src)
-				le.PutUint64(rec[8:], dst)
-				le.PutUint32(rec[16:], floatBits(weight))
-				if _, werr := bw.Write(rec[:]); werr != nil {
-					err = werr
-					return false
-				}
-				return true
-			})
-		}
-		if err != nil {
-			return fmt.Errorf("core: parallel snapshot shard %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadParallelSnapshot reconstructs a sharded store from a snapshot
-// produced by Parallel.WriteSnapshot (either format version). The stored
+// ReadParallelSnapshot reconstructs a sharded store from a snapshot in
+// either format version: v2 from Parallel.WriteSnapshot, or v1 from
+// builds that predate it. The stored
 // configuration is used unless override is non-nil. v2 snapshots load in
 // parallel — per-shard sections decode concurrently, bulk-building both
 // seqlock replicas before the store is published — whenever the edges

@@ -24,16 +24,14 @@ package replication
 import (
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
+	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"graphtinker/internal/core"
+	"graphtinker/internal/durable"
 	"graphtinker/internal/faultinject"
 	"graphtinker/internal/wal"
 )
@@ -88,7 +86,7 @@ var ErrFollowerDegraded = errors.New("replication: follower degraded (apply fail
 // FollowerOptions configures OpenFollower.
 type FollowerOptions struct {
 	// Shards is the store width for a fresh directory (default 4); a
-	// snapshot bootstrap adopts the primary's width instead.
+	// snapshot bootstrap awopts the primary's width instead.
 	Shards int
 	// SegmentBytes / SyncInterval tune the follower's own WAL exactly as
 	// in DurabilityOptions.
@@ -149,115 +147,46 @@ func OpenFollower(cfg core.Config, dir string, opts FollowerOptions) (*Follower,
 	if opts.Shards <= 0 {
 		opts.Shards = 4
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("replication: follower: %w", err)
-	}
-	// A process killed mid-bootstrap leaves a .bootstrap-* temp behind;
-	// it is never referenced by a manifest, so sweep it here.
-	if stale, err := filepath.Glob(filepath.Join(dir, ".bootstrap-*")); err == nil {
-		for _, s := range stale {
-			os.Remove(s)
-		}
-	}
-	m, haveManifest, err := wal.LoadManifest(dir)
+	store, o, err := openDir(cfg, dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	var store *core.Parallel
-	var info FollowerRecovery
-	if haveManifest && m.Snapshot != "" {
-		f, err := wal.OpenManifestSnapshot(dir, m)
-		if err != nil {
-			return nil, err
-		}
-		store, err = core.ReadParallelSnapshot(f, nil)
-		_ = f.Close() // read-only; the snapshot decode error is the signal
-		if err != nil {
-			return nil, fmt.Errorf("replication: follower: %w", err)
-		}
-		info = FollowerRecovery{Recovered: true, SnapshotOps: m.LastLSN}
-	} else {
-		store, err = core.NewParallel(cfg, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-	}
-	info.Epoch = m.Epoch
-
-	wdir := filepath.Join(dir, "wal")
-	log, err := wal.Open(wdir, wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		SyncInterval: opts.SyncInterval,
-		Recorder:     opts.WALRecorder,
-		InitialLSN:   m.LastLSN,
-	})
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	if log.NextLSN() < m.LastLSN {
-		// A crash between a bootstrap's manifest install and its WAL wipe
-		// leaves the pre-bootstrap log behind. Every op in it is below the
-		// snapshot's LSN — wholly covered — so discarding it is safe, and
-		// required: replay must start at the snapshot's position.
-		if err := log.Close(); err != nil {
-			store.Close()
-			return nil, err
-		}
-		if err := os.RemoveAll(wdir); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("replication: follower: reset stale wal: %w", err)
-		}
-		log, err = wal.Open(wdir, wal.Options{
-			SegmentBytes: opts.SegmentBytes,
-			SyncInterval: opts.SyncInterval,
-			Recorder:     opts.WALRecorder,
-			InitialLSN:   m.LastLSN,
-		})
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
-	replayed, err := replayTail(wdir, m.LastLSN, opts.WALRecorder, store)
-	if err != nil {
-		_ = log.Close() // abandoning open; the replay error is the signal
-		store.Close()
-		return nil, err
-	}
-	info.ReplayedOps = replayed
-	if replayed > 0 {
-		info.Recovered = true
-	}
-
 	f := &Follower{
-		dir:    dir,
-		cfg:    cfg,
-		opts:   opts,
-		rec:    opts.Recorder,
-		info:   info,
+		dir:  dir,
+		cfg:  cfg,
+		opts: opts,
+		rec:  opts.Recorder,
+		info: FollowerRecovery{
+			Recovered:   o.Recovered,
+			SnapshotOps: o.SnapshotOps,
+			ReplayedOps: o.ReplayedOps,
+			Epoch:       o.Manifest.Epoch,
+		},
 		store:  store,
-		log:    log,
-		epoch:  m.Epoch,
+		log:    o.Log,
+		epoch:  o.Manifest.Epoch,
 		notify: make(chan struct{}),
 	}
-	f.applied.Store(log.NextLSN())
+	f.applied.Store(o.Log.NextLSN())
 	f.state.Store(int32(StateIdle))
 	return f, nil
 }
 
-// replayTail applies the WAL tail from fromLSN onward to a sharded store
-// through the pipelined replay path (decode overlapped with per-shard
-// application, partition scratch reused across the tail).
-func replayTail(dir string, fromLSN uint64, rec *wal.Recorder, store *core.Parallel) (uint64, error) {
-	next, err := wal.ReplayInto(dir, fromLSN, rec, store)
-	if err != nil {
-		return 0, err
+// openDir recovers the follower's directory. A log that ends before the
+// manifest's snapshot is what a crash between a bootstrap's manifest
+// install and its WAL reset leaves behind. Every op in it is below the
+// snapshot's LSN — wholly covered — so discarding it is safe, and
+// required: replay must start at the snapshot's position.
+func openDir(cfg core.Config, dir string, opts FollowerOptions) (*core.Parallel, durable.Opened, error) {
+	wopts := wal.Options{SegmentBytes: opts.SegmentBytes, SyncInterval: opts.SyncInterval, Recorder: opts.WALRecorder}
+	store, o, err := durable.OpenParallel(dir, wopts, cfg, opts.Shards)
+	if errors.Is(err, durable.ErrLogBehindSnapshot) {
+		if err := durable.ResetLog(dir); err != nil {
+			return nil, durable.Opened{}, err
+		}
+		store, o, err = durable.OpenParallel(dir, wopts, cfg, opts.Shards)
 	}
-	if next < fromLSN {
-		return 0, nil
-	}
-	return next - fromLSN, nil
+	return store, o, err
 }
 
 // applyToStore partitions one record's ops by shard and applies each part.
@@ -441,7 +370,7 @@ func (f *Follower) runStream(fc *frameConn) error {
 				return err
 			}
 			f.state.Store(int32(StateSyncing))
-			if err := f.installSnapshot(fc, hdr); err != nil {
+			if err := f.bootstrap(fc, hdr); err != nil {
 				f.markDegraded()
 				return err
 			}
@@ -510,18 +439,10 @@ func (f *Follower) checkEpoch(fc *frameConn, peer uint64) error {
 	return nil
 }
 
-// persistEpoch durably adopts a newer term before applying anything from
+// persistEpoch durably awopts a newer term before applying anything from
 // it, so a crashed-and-recovered follower still refuses the old primary.
 func (f *Follower) persistEpoch(epoch uint64) error {
-	m, ok, err := wal.LoadManifest(f.dir)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		m = wal.Manifest{Shards: f.Store().NumShards()}
-	}
-	m.Epoch = epoch
-	if err := wal.WriteManifest(f.dir, m); err != nil {
+	if err := durable.SetEpoch(f.dir, epoch, f.Store().NumShards()); err != nil {
 		return err
 	}
 	f.mu.Lock()
@@ -568,107 +489,63 @@ func (f *Follower) applyRecord(firstLSN uint64, ops []core.EdgeOp) error {
 	return nil
 }
 
-// installSnapshot runs the bootstrap: stream chunks to a temp file,
-// validate, durably install snapshot + manifest, reset the WAL at the
-// snapshot's LSN, and swap the in-memory store. Install order is
-// snapshot → manifest → WAL reset; OpenFollower's stale-WAL branch covers
-// a crash between the last two.
-func (f *Follower) installSnapshot(fc *frameConn, hdr snapHeaderMsg) error {
-	tmp, err := os.CreateTemp(f.dir, ".bootstrap-*")
-	if err != nil {
-		return fmt.Errorf("replication: follower: bootstrap: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(e error) error {
-		_ = tmp.Close() // already failing with e; close error is cleanup noise
-		os.Remove(tmpName)
-		return e
-	}
-	h := crc32.New(castagnoli)
-	var got int64
-	for {
-		ft, payload, err := fc.recv()
-		if err != nil {
-			return cleanup(err)
+// bootstrap installs the snapshot the primary ships: stream its chunks
+// into a snapshot install, validate them against the header, reset the
+// WAL at the snapshot's LSN, and swap the in-memory store. Install order
+// is snapshot → manifest → WAL reset; openDir covers a crash between the
+// last two.
+func (f *Follower) bootstrap(fc *frameConn, hdr snapHeaderMsg) error {
+	chunks := func(w io.Writer) error {
+		for {
+			ft, payload, err := fc.recv()
+			if err != nil {
+				return err
+			}
+			switch ft {
+			case frameSnapDone:
+				return nil
+			case frameError:
+				return peerError(payload)
+			case frameSnapChunk:
+			default:
+				return fmt.Errorf("%w: frame type %d inside snapshot bootstrap", ErrBadFrame, ft)
+			}
+			if _, err := w.Write(payload); err != nil {
+				return fmt.Errorf("replication: follower: bootstrap: %w", err)
+			}
 		}
-		if ft == frameSnapDone {
-			break
+	}
+	verify := func(crc uint32, size int64) error {
+		if size != hdr.size || crc != hdr.crc {
+			return fmt.Errorf("replication: follower: bootstrap snapshot fails validation: got %d bytes crc %08x, header says %d bytes crc %08x",
+				size, crc, hdr.size, hdr.crc)
 		}
-		if ft == frameError {
-			return cleanup(peerError(payload))
+		// The failpoint covers the install sequence: a kill anywhere below
+		// must leave the directory recoverable to either the old or the new
+		// state, never a torn mix.
+		if err := faultinject.Inject("repl/snapshot"); err != nil {
+			return fmt.Errorf("replication: follower: bootstrap: %w", err)
 		}
-		if ft != frameSnapChunk {
-			return cleanup(fmt.Errorf("%w: frame type %d inside snapshot bootstrap", ErrBadFrame, ft))
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			return cleanup(fmt.Errorf("replication: follower: bootstrap: %w", err))
-		}
-		mustWrite(h, payload)
-		got += int64(len(payload))
+		return nil
 	}
-	if got != hdr.size || h.Sum32() != hdr.crc {
-		return cleanup(fmt.Errorf("replication: follower: bootstrap snapshot fails validation: got %d bytes crc %08x, header says %d bytes crc %08x",
-			got, h.Sum32(), hdr.size, hdr.crc))
-	}
-	// The failpoint covers the install sequence: a kill anywhere below
-	// must leave the directory recoverable to either the old or the new
-	// state, never a torn mix.
-	if err := faultinject.Inject("repl/snapshot"); err != nil {
-		return cleanup(fmt.Errorf("replication: follower: bootstrap: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("replication: follower: bootstrap: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("replication: follower: bootstrap: %w", err)
-	}
-	name := fmt.Sprintf("snap-%016x.gts", hdr.lastLSN)
-	if err := os.Rename(tmpName, filepath.Join(f.dir, name)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("replication: follower: bootstrap: %w", err)
-	}
-	if err := wal.WriteManifest(f.dir, wal.Manifest{
-		Snapshot:      name,
-		LastLSN:       hdr.lastLSN,
-		SnapshotCRC:   hdr.crc,
-		SnapshotBytes: hdr.size,
-		Shards:        int(hdr.shards),
-		Epoch:         f.Epoch(),
-	}); err != nil {
+	m := wal.Manifest{LastLSN: hdr.lastLSN, Shards: int(hdr.shards), Epoch: f.Epoch()}
+	if _, err := durable.InstallSnapshot(f.dir, m, chunks, verify, f.opts.WALRecorder); err != nil {
 		return err
 	}
 
-	// Reset the WAL at the snapshot's LSN: everything in the old log is
-	// below it, hence covered.
-	wdir := filepath.Join(f.dir, "wal")
+	// Reset the WAL at the snapshot's LSN (everything in the old log is
+	// below it, hence covered) and reopen onto the installed snapshot.
 	if err := f.log.Close(); err != nil {
 		return err
 	}
-	if err := os.RemoveAll(wdir); err != nil {
-		return fmt.Errorf("replication: follower: bootstrap: reset wal: %w", err)
-	}
-	nlog, err := wal.Open(wdir, wal.Options{
-		SegmentBytes: f.opts.SegmentBytes,
-		SyncInterval: f.opts.SyncInterval,
-		Recorder:     f.opts.WALRecorder,
-		InitialLSN:   hdr.lastLSN,
-	})
-	if err != nil {
+	if err := durable.ResetLog(f.dir); err != nil {
 		return err
 	}
-	f.log = nlog
-
-	// Swap the in-memory store for the bootstrapped one.
-	sf, err := os.Open(filepath.Join(f.dir, name))
+	nstore, o, err := openDir(f.cfg, f.dir, f.opts)
 	if err != nil {
 		return fmt.Errorf("replication: follower: bootstrap: %w", err)
 	}
-	nstore, err := core.ReadParallelSnapshot(sf, nil)
-	_ = sf.Close() // read-only; the decode error is the signal
-	if err != nil {
-		return fmt.Errorf("replication: follower: bootstrap: %w", err)
-	}
+	f.log = o.Log
 	f.storeMu.Lock()
 	old := f.store
 	f.store = nstore
@@ -771,16 +648,8 @@ func (f *Follower) Promote() (uint64, error) {
 	if err := faultinject.Inject("repl/promote"); err != nil {
 		return 0, fmt.Errorf("replication: promote: %w", err)
 	}
-	m, ok, err := wal.LoadManifest(f.dir)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		m = wal.Manifest{Shards: f.Store().NumShards()}
-	}
 	newEpoch := f.Epoch() + 1
-	m.Epoch = newEpoch
-	if err := wal.WriteManifest(f.dir, m); err != nil {
+	if err := durable.SetEpoch(f.dir, newEpoch, f.Store().NumShards()); err != nil {
 		return 0, err
 	}
 
@@ -788,7 +657,7 @@ func (f *Follower) Promote() (uint64, error) {
 	f.epoch = newEpoch
 	f.closed = true
 	f.mu.Unlock()
-	err = f.log.Close()
+	err := f.log.Close()
 	f.Store().Close()
 	return newEpoch, err
 }
@@ -843,6 +712,3 @@ func leUint64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
-
-// mustWrite feeds a hash; hash.Hash writes never fail.
-func mustWrite(h hash.Hash, p []byte) { _, _ = h.Write(p) }

@@ -257,6 +257,68 @@ func TestSnapshotBootstrap(t *testing.T) {
 			rinfo.SnapshotOps, rinfo.ReplayedOps, len(ops))
 	}
 	testutil.CheckAgainstRef(t, f2.Store(), oracleOver(ops))
+
+	// A second bootstrap installs through the same path as a checkpoint:
+	// the first bootstrap's snapshot is collected, and a snapshot GC cannot
+	// remove is counted, not fatal.
+	t.Run("second bootstrap collects the first", func(t *testing.T) {
+		if err := f2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// os.Remove fails on a non-empty directory matching snap-*.gts.
+		if err := os.MkdirAll(filepath.Join(fdir, "snap-00000000deadbeef.gts", "pin"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		// Move the primary past the follower's position and checkpoint
+		// until that position is pruned: the tailer of the first
+		// connection pins its segments until its handler sees the
+		// follower gone.
+		all := append([]core.EdgeOp(nil), ops...)
+		for i := 0; ; i++ {
+			more := genStream(500, 100+uint64(i))
+			h.appendChunks(more, 100)
+			all = append(all, more...)
+			h.checkpoint(0)
+			tl, err := h.log.NewTailer(uint64(len(ops)))
+			if errors.Is(err, wal.ErrTailPruned) {
+				break
+			}
+			if err == nil {
+				_ = tl.Close()
+			}
+			if i == 50 {
+				t.Fatalf("LSN %d never pruned on the primary (err=%v)", len(ops), err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		wrec, frec3 := wal.NewRecorder(), NewRecorder()
+		f3, err := OpenFollower(core.DefaultConfig(), fdir, FollowerOptions{
+			Shards: 4, SyncInterval: -1, SegmentBytes: 1 << 14, Recorder: frec3, WALRecorder: wrec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = f3.Close() }()
+		h.connect(f3)
+		waitApplied(t, f3, uint64(len(all)))
+		testutil.CheckAgainstRef(t, f3.Store(), oracleOver(all))
+		if got := frec3.Snapshot().SnapshotsInstalled; got != 1 {
+			t.Fatalf("SnapshotsInstalled = %d, want 1", got)
+		}
+		snaps, _ := filepath.Glob(filepath.Join(fdir, "snap-*.gts"))
+		var files int
+		for _, s := range snaps {
+			if fi, err := os.Stat(s); err == nil && !fi.IsDir() {
+				files++
+			}
+		}
+		if files != 1 {
+			t.Fatalf("follower keeps %d snapshot files after two bootstraps, want 1", files)
+		}
+		if got := wrec.Snapshot().SnapshotGCFailures; got != 1 {
+			t.Fatalf("SnapshotGCFailures = %d, want 1", got)
+		}
+	})
 }
 
 func TestReconnectResumes(t *testing.T) {

@@ -67,7 +67,7 @@ func WriteManifest(dir string, m Manifest) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: manifest: %w", err)
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
 // LoadManifest reads dir's manifest; ok is false when none exists.
@@ -87,8 +87,7 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 
 // OpenManifestSnapshot validates a manifest's snapshot file (size +
 // CRC32-C against the recorded pair) and opens it for reading — the
-// shared recovery entry point for durable streams, sessions, and
-// replication followers.
+// recovery entry point internal/durable opens every snapshot through.
 func OpenManifestSnapshot(dir string, m Manifest) (*os.File, error) {
 	path := filepath.Join(dir, m.Snapshot)
 	crc, size, err := FileCRC(path)
@@ -122,8 +121,11 @@ func FileCRC(path string) (uint32, int64, error) {
 	return h.Sum32(), n, nil
 }
 
-// syncDir fsyncs a directory so a rename into it is durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a rename into it is durable. It is the
+// only directory fsync of the durability layer, and it fails when the
+// directory cannot be opened: a rename that cannot be made durable must
+// not be reported as installed.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("wal: sync dir: %w", err)

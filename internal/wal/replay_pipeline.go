@@ -40,8 +40,8 @@ const replayDispatchOps = 4096
 // ReplayInto streams the log's ops at or beyond fromLSN into target,
 // partitioned by shard and applied by per-shard workers concurrently with
 // the decode. It returns the LSN after the last replayed op, exactly like
-// Replay, and is what Session.Recover, OpenDurableStream, and the
-// replication follower's catch-up all ride.
+// Replay, and is what internal/durable's Open replays every durability
+// directory's tail through.
 func ReplayInto(dir string, fromLSN uint64, rec *Recorder, target ReplayTarget) (uint64, error) {
 	n := target.NumShards()
 	if n <= 1 {

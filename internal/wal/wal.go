@@ -102,8 +102,16 @@ type Options struct {
 	Recorder *Recorder
 }
 
+// Validate rejects nonsense instead of coercing it.
+func (o Options) Validate() error {
+	if o.SegmentBytes < 0 {
+		return fmt.Errorf("wal: SegmentBytes is %d; want > 0, or 0 for the default", o.SegmentBytes)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
+	if o.SegmentBytes == 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
 	return o
@@ -147,6 +155,9 @@ type Log struct {
 // validate checksums, truncate any torn tail on the last segment, and
 // position the next append after the last durable record.
 func Open(dir string, opts Options) (*Log, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	graphtinker "graphtinker"
-	"graphtinker/internal/core"
 	"graphtinker/internal/faultinject"
 	"graphtinker/internal/testutil"
 	"graphtinker/internal/wal"
@@ -79,32 +78,19 @@ func TestDurableStreamCheckpointWritesV2(t *testing.T) {
 func TestDurableStreamUpgradesV1Snapshot(t *testing.T) {
 	// Hand-build a durability directory the way a pre-v2 build would have
 	// left it: a v1-format checkpoint bound by the manifest, no WAL tail.
+	// The fixture is ops[:5000] applied to a 4-shard default-config store,
+	// written by the retired v1 writer.
 	dir := t.TempDir()
 	ops := genStream(7000, 0xd1d)
 	cfg := graphtinker.DefaultConfig()
-	p, err := core.NewParallel(cfg, 4)
+	v1, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "durable_v1_5000.gts"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, op := range ops[:5000] {
-		if op.Del {
-			p.DeleteEdge(op.Src, op.Dst)
-		} else {
-			p.InsertEdge(op.Src, op.Dst, op.Weight)
-		}
 	}
 	name := fmt.Sprintf("snap-%016x.gts", 5000)
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteSnapshotV1(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
 	crc, size, err := wal.FileCRC(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ package graphtinker
 // the bumped epoch fences the old primary off.
 
 import (
+	"fmt"
 	"net"
 	"time"
 
@@ -138,8 +139,8 @@ type FollowerHandleOptions struct {
 	// Shards is the store width for a fresh directory (default 4); a
 	// snapshot bootstrap adopts the primary's width.
 	Shards int
-	// Durability tunes the follower's own WAL (SnapshotEvery is ignored —
-	// followers do not checkpoint in this version).
+	// Durability tunes the follower's own WAL. SnapshotEvery must be 0:
+	// followers do not checkpoint in this version.
 	Durability DurabilityOptions
 	// Recorder, when non-nil, receives apply-side replication telemetry.
 	Recorder *ReplicationRecorder
@@ -154,6 +155,9 @@ type ReplicaFollower struct {
 // OpenFollower opens (or creates) a follower durability directory and
 // recovers its replica state. Attach a primary with Dial or Run.
 func OpenFollower(cfg Config, dir string, opts FollowerHandleOptions) (*ReplicaFollower, error) {
+	if opts.Durability.SnapshotEvery > 0 {
+		return nil, fmt.Errorf("graphtinker: follower: Durability.SnapshotEvery is %d; followers do not checkpoint, leave it 0", opts.Durability.SnapshotEvery)
+	}
 	f, err := replication.OpenFollower(cfg, dir, replication.FollowerOptions{
 		Shards:       opts.Shards,
 		SegmentBytes: opts.Durability.SegmentBytes,

@@ -5,15 +5,16 @@ package graphtinker
 // applyBatchLocked applies them) to a WAL before touching the graph, so a
 // batch is acknowledged only once the log covers it. Recover rebuilds a
 // session from the directory: manifest-validated snapshot, then an
-// idempotent replay of the WAL tail. The directory layout and manifest are
-// shared with DurableStream (see durability.go); a session's manifest
-// records Shards = 1.
+// idempotent replay of the WAL tail. The directory layout and its
+// sequences are internal/durable's, shared with DurableStream; a
+// session's manifest records Shards = 1.
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"graphtinker/internal/core"
+	"graphtinker/internal/durable"
 	"graphtinker/internal/wal"
 )
 
@@ -24,7 +25,6 @@ type sessionDurability struct {
 	log  *wal.Log
 	opts DurabilityOptions
 
-	lastCkpt  uint64
 	sinceCkpt uint64
 	epoch     uint64 // replication term from the manifest; preserved by checkpoints
 	failed    bool   // a WAL write failed; further batches are refused
@@ -53,6 +53,15 @@ func (t sessionReplayTarget) ApplyShard(_ int, ops []core.EdgeOp) (inserted, del
 	}
 	return inserted, deleted
 }
+
+// refuseTail is EnableDurability's replay target: the directory must hold
+// no logged ops, so a tail is only counted (and then refused), never
+// applied to the session's graph.
+type refuseTail struct{}
+
+func (refuseTail) NumShards() int                           { return 1 }
+func (refuseTail) ShardOf(uint64) int                       { return 0 }
+func (refuseTail) ApplyShard(int, []core.EdgeOp) (int, int) { return 0, 0 }
 
 // appendBatch logs one batch's ops in application order. The first append
 // failure degrades the session: later batches must not be acknowledged
@@ -96,31 +105,26 @@ func (s *Session) EnableDurability(dir string, opts DurabilityOptions) error {
 	if s.batches > 0 {
 		return fmt.Errorf("graphtinker: session has already applied %d unlogged batches; enable durability before applying, or Recover into a fresh session", s.batches)
 	}
-	if _, ok, err := wal.LoadManifest(dir); err != nil {
-		return err
-	} else if ok {
-		return fmt.Errorf("graphtinker: %s already holds recovery state; use Session.Recover", dir)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("graphtinker: durable session: %w", err)
-	}
-	log, err := wal.Open(walDir(dir), wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		SyncInterval: opts.SyncInterval,
-		Recorder:     opts.Recorder,
+	o, err := durable.Open(dir, opts.walOptions(), func(m *wal.Manifest, _ io.Reader) (wal.ReplayTarget, error) {
+		if m != nil {
+			return nil, fmt.Errorf("graphtinker: %s already holds recovery state; use Session.Recover", dir)
+		}
+		return refuseTail{}, nil
 	})
 	if err != nil {
 		return err
 	}
-	if next := log.NextLSN(); next > 0 {
+	log := o.Log
+	if o.ReplayedOps > 0 {
 		_ = log.Close() // abandoning open; the misuse error below is the signal
-		return fmt.Errorf("graphtinker: %s already holds %d logged ops; use Session.Recover", dir, next)
+		return fmt.Errorf("graphtinker: %s already holds %d logged ops; use Session.Recover", dir, o.ReplayedOps)
 	}
 	s.dur = &sessionDurability{dir: dir, log: log, opts: opts}
 	if s.graph.NumEdges() > 0 {
 		// Pre-existing edges are not in the log; bake them into an
 		// immediate LSN-0 checkpoint so recovery starts from them.
-		//gtlint:ignore lockhold checkpoint snapshots under s.mu by design: the single-writer lock is what keeps the snapshot consistent
+		// The checkpoint runs under s.mu by design: the single-writer
+		// lock is what keeps the snapshot consistent.
 		if err := s.checkpointLocked(); err != nil {
 			_ = log.Close()
 			s.dur = nil
@@ -155,57 +159,28 @@ func (s *Session) RecoverWithOptions(dir string, opts DurabilityOptions) (Recove
 	if len(s.engines) > 0 {
 		return RecoveryInfo{}, fmt.Errorf("graphtinker: Recover requires no attached programs (attach after recovery)")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return RecoveryInfo{}, fmt.Errorf("graphtinker: recover: %w", err)
-	}
-
-	m, haveManifest, err := wal.LoadManifest(dir)
-	if err != nil {
-		return RecoveryInfo{}, err
-	}
-	var info RecoveryInfo
-	if haveManifest && m.Snapshot != "" {
-		f, err := openSnapshot(dir, m)
-		if err != nil {
-			return RecoveryInfo{}, err
+	// Replay the tail in LSN order; records straddling the snapshot
+	// boundary arrive pre-sliced, so nothing applies twice. A session's
+	// graph is one shard, so the replay applies inline on the decoder.
+	g := s.graph
+	o, err := durable.Open(dir, opts.walOptions(), func(_ *wal.Manifest, snap io.Reader) (wal.ReplayTarget, error) {
+		if snap != nil {
+			var err error
+			if g, err = core.ReadSnapshot(snap, nil); err != nil {
+				return nil, err
+			}
+			if s.rec != nil {
+				g.Instrument(s.rec)
+			}
 		}
-		g, err := core.ReadSnapshot(f, nil)
-		_ = f.Close() // read-only; the snapshot decode error is the signal
-		if err != nil {
-			return RecoveryInfo{}, fmt.Errorf("graphtinker: recover: %w", err)
-		}
-		s.graph = g
-		if s.rec != nil {
-			s.graph.Instrument(s.rec)
-		}
-		info = RecoveryInfo{Recovered: true, SnapshotOps: m.LastLSN}
-	}
-
-	log, err := wal.Open(walDir(dir), wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		SyncInterval: opts.SyncInterval,
-		Recorder:     opts.Recorder,
+		return sessionReplayTarget{g}, nil
 	})
 	if err != nil {
 		return RecoveryInfo{}, err
 	}
-	if next := log.NextLSN(); next < m.LastLSN {
-		_ = log.Close() // abandoning open; the recovery error below is the signal
-		return RecoveryInfo{}, fmt.Errorf("graphtinker: recover: wal ends at LSN %d but manifest snapshot covers %d (log lost behind checkpoint)", next, m.LastLSN)
-	}
-	// Replay the tail in LSN order; records straddling the snapshot
-	// boundary arrive pre-sliced, so nothing applies twice. A session's
-	// graph is one shard, so ReplayInto applies inline on the decoder.
-	replayed, err := wal.ReplayInto(walDir(dir), m.LastLSN, opts.Recorder, sessionReplayTarget{s.graph})
-	if err != nil {
-		_ = log.Close()
-		return RecoveryInfo{}, err
-	}
-	if replayed > m.LastLSN {
-		info.ReplayedOps = replayed - m.LastLSN
-		info.Recovered = true
-	}
-	s.dur = &sessionDurability{dir: dir, log: log, opts: opts, lastCkpt: m.LastLSN, epoch: m.Epoch, info: info}
+	s.graph = g
+	info := recoveryInfo(o)
+	s.dur = &sessionDurability{dir: dir, log: o.Log, opts: opts, epoch: o.Manifest.Epoch, info: info}
 	return info, nil
 }
 
@@ -217,7 +192,8 @@ func (s *Session) Checkpoint() error {
 	if s.dur == nil {
 		return fmt.Errorf("graphtinker: session durability not enabled")
 	}
-	//gtlint:ignore lockhold checkpoint snapshots under s.mu by design: the single-writer lock is what keeps the snapshot consistent
+	// The checkpoint runs under s.mu by design: the single-writer lock
+	// is what keeps the snapshot consistent.
 	return s.checkpointLocked()
 }
 
@@ -232,29 +208,10 @@ func (s *Session) checkpointLocked() error {
 	if err := d.log.Sync(); err != nil {
 		return fmt.Errorf("graphtinker: checkpoint: %w", err)
 	}
-	lsn := d.log.NextLSN()
-	name := snapName(lsn)
-	crc, size, err := installSnapshot(d.dir, name, func(f *os.File) error {
-		return s.graph.WriteSnapshot(f)
-	})
-	if err != nil {
+	m := wal.Manifest{LastLSN: d.log.NextLSN(), Shards: 1, Epoch: d.epoch}
+	if err := durable.Checkpoint(d.dir, d.log, m, s.graph.WriteSnapshot, d.opts.Recorder); err != nil {
 		return err
 	}
-	if err := wal.WriteManifest(d.dir, wal.Manifest{
-		Snapshot:      name,
-		LastLSN:       lsn,
-		SnapshotCRC:   crc,
-		SnapshotBytes: size,
-		Shards:        1,
-		Epoch:         d.epoch,
-	}); err != nil {
-		return err
-	}
-	if _, err := d.log.Prune(lsn); err != nil {
-		return err
-	}
-	removeStaleSnapshots(d.dir, name, d.opts.Recorder)
-	d.lastCkpt = lsn
 	d.sinceCkpt = 0
 	return nil
 }
